@@ -9,12 +9,13 @@ package repro_test
 //     wall-clock cost of doing so. Run `go run ./cmd/benchtab` for the
 //     human-readable full-scale tables.
 //
-//   - BenchmarkFlood*: the batch-vs-callback hot-loop comparison. The
-//     flooding engine consumes snapshots through dyngraph.Batcher when a
-//     model implements it; these benchmarks run the same flood over the
-//     same model with the batch view enabled and disabled
-//     (`go test -bench=Flood`), and TestFloodBatchMatchesCallback pins
-//     down that both paths return identical Results on fixed seeds.
+//   - BenchmarkFlood*: the native-vs-callback hot-loop comparison. The
+//     flooding engine consumes a model's native delta stream; these
+//     benchmarks run the same flood over the same model with its native
+//     views enabled and hidden behind ForEachNeighbor, which the engine
+//     enters through the Deltifier (`go test -bench=Flood`), and
+//     TestFloodBatchMatchesCallback pins down that both return identical
+//     Results on fixed seeds.
 
 import (
 	"io"
@@ -58,8 +59,9 @@ func BenchmarkExpE16(b *testing.B) { runExperiment(b, "E16") } // bursty four-st
 func BenchmarkExpE17(b *testing.B) { runExperiment(b, "E17") } // load balancing over MEGs [16, 28]
 func BenchmarkExpE18(b *testing.B) { runExperiment(b, "E18") } // flooding vs k-push vs pull (§5)
 
-// callbackOnly hides a model's Batcher/NeighborLister implementations,
-// forcing the flooding engine onto the ForEachNeighbor callback path.
+// callbackOnly hides every optional view of a model, so the flooding
+// engine enters it through the Deltifier, which reads snapshots via
+// ForEachNeighbor.
 type callbackOnly struct{ d dyngraph.Dynamic }
 
 func (c callbackOnly) N() int                                { return c.d.N() }
@@ -130,10 +132,9 @@ func BenchmarkPull(b *testing.B)         { benchProtocol(b, "pull") }
 func BenchmarkParsimonious(b *testing.B) { benchProtocol(b, "parsimonious:active=32") }
 func BenchmarkPushPull(b *testing.B)     { benchProtocol(b, "pushpull:k=1") }
 
-// TestFloodBatchMatchesCallback verifies the acceptance criterion of the
-// hot-loop redesign: flooding over the batch view and over the callback
-// view of the same model (same spec, same seed) returns identical Results,
-// timeline included.
+// TestFloodBatchMatchesCallback verifies that flooding over the model's
+// native views and over its callback view alone (same spec, same seed)
+// returns identical Results, timeline included.
 func TestFloodBatchMatchesCallback(t *testing.T) {
 	specs := []model.Spec{
 		model.New("edgemeg").WithInt("n", 256).WithFloat("p", 0.002).WithFloat("q", 0.098),

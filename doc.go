@@ -12,8 +12,8 @@
 // model offers them:
 //
 //   - dyngraph.Batcher exposes the whole current snapshot as a flat
-//     []Edge batch (AppendEdges). The flooding engine scans it linearly,
-//     with no per-edge callbacks; models whose state already is
+//     []Edge batch (AppendEdges). The delta engines seed their adjacency
+//     from it, with no per-edge callbacks; models whose state already is
 //     edge-shaped (sparse edge-MEG alive lists, geometry cell lists,
 //     recorded traces, static graphs) produce it natively.
 //   - dyngraph.ArcBatcher is the directed counterpart (AppendArcs), for
@@ -22,8 +22,8 @@
 //     as arcs, and the flooding engine propagates along them one-way.
 //   - dyngraph.NeighborLister exposes one node's neighbors as a slice
 //     (AppendNeighbors), for consumers that touch few nodes per step
-//     (random walkers, pull gossip, push subsampling). The per-node
-//     protocol engines hoist the interface check out of their hot loops.
+//     (random walkers, pull gossip, push subsampling), read through
+//     dyngraph.AppendNeighbors, whose lister path does not allocate.
 //   - dyngraph.DeltaBatcher (v6) exposes the churn of the most recent
 //     Step as flat born/died batches (AppendDeltas) — O(n) per step in
 //     the paper's sparse regime p = c/n, versus the Θ(n) edges of the
@@ -35,11 +35,11 @@
 //     snapshot batch and Apply the deltas, maintaining the current graph
 //     in O(churn) per step.
 //
-// Two engines consume the delta stream directly through a scratch-held
+// Three engines consume the delta stream through a scratch-held
 // Adjacency: flood.Run runs an incremental active-set engine (scan only
 // informed nodes that may still reach someone; re-activate the informed
-// endpoints of born edges), and flood.Parsimonious reads its
-// transmitters' neighborhoods from the store. The order-sensitive
+// endpoints of born edges), and flood.Parsimonious and flood.Async read
+// their transmitters' neighborhoods from the store. The order-sensitive
 // engines — pull, push–pull, random walks, whose random draws index into
 // neighbor lists — win model-side instead: the edge-MEG simulators keep
 // their per-node lists live incrementally in rebuild-identical order, so
@@ -47,6 +47,16 @@
 // disappears. The opt-in edgemeg fastchurn parameter further replaces
 // the death sweep with geometric skipping (same law, different stream),
 // making the whole model step O(churn).
+//
+// Engine contract. DeltaBatcher is the only undirected engine contract:
+// flood.Run, flood.Async and flood.Parsimonious consume a model's churn
+// stream and hand any other undirected Dynamic to a scratch-held
+// dyngraph.Deltifier at entry, so each engine has one code path; an
+// ArcBatcher (the k-push subsampled graph) keeps flood.Run's directed arc
+// scan, and the Deltifier panics on one rather than symmetrise its arcs.
+// The edge-scan, member-scan and per-step-rebuild fallbacks of earlier
+// layers are gone; their fixed-seed pins run through the Deltifier and
+// still hold byte for byte.
 //
 // The v5 spreading core underneath is allocation-free once warm: informed
 // sets are word-packed bitsets (internal/bitset) and all per-run working
@@ -193,7 +203,7 @@
 // mover counts through the new moved_per_step telemetry gauge
 // (dyngraph.MoveReporter), warm mobility steps are allocation-free
 // (member-list slack + pinned scratch, internal/mobility/alloc_test.go),
-// and the delta/batch/Deltifier dispatch stays byte-identical per seed
+// and native, Batcher-only and Deltifier runs stay byte-identical per seed
 // (internal/flood/equiv_test.go, TestMobilityDispatchEquivalence). The
 // waypoint-4k delta/deltifier BENCH pair gates the speedup in CI; the
 // 64k waypoint rows pin the large-geometry warm regime.

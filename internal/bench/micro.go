@@ -78,34 +78,10 @@ type micro struct {
 	resident func() int64
 }
 
-// memberScanOnly hides batch snapshot interfaces, forcing the flooding
-// engine onto the member-scan fallback while keeping the per-node batch
-// view — the cost profile of models without edge-shaped state.
-type memberScanOnly struct{ d dyngraph.Dynamic }
-
-func (m memberScanOnly) N() int                                { return m.d.N() }
-func (m memberScanOnly) Step()                                 { m.d.Step() }
-func (m memberScanOnly) ForEachNeighbor(i int, fn func(j int)) { m.d.ForEachNeighbor(i, fn) }
-func (m memberScanOnly) AppendNeighbors(i int, dst []int32) []int32 {
-	return dyngraph.AppendNeighbors(m.d, i, dst)
-}
-
-// batchScanOnly hides DeltaBatcher while keeping the flat batch view,
-// forcing the flooding engine onto the PR 4 full-snapshot edge scan — the
-// before side of the delta-vs-batch rows.
-type batchScanOnly struct{ d dyngraph.Dynamic }
-
-func (m batchScanOnly) N() int                                { return m.d.N() }
-func (m batchScanOnly) Step()                                 { m.d.Step() }
-func (m batchScanOnly) ForEachNeighbor(i int, fn func(j int)) { m.d.ForEachNeighbor(i, fn) }
-func (m batchScanOnly) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
-	return dyngraph.AppendEdges(m.d, dst)
-}
-
 // floodMicro measures one flood trial per iteration: model built fresh
 // (trials never reuse model state), scratch warm across iterations. A
-// non-nil wrap narrows the model's interface surface to steer engine
-// dispatch.
+// non-nil wrap replaces the model's view before the run (the Deltifier
+// rows).
 func floodMicro(cfg Config, spec model.Spec, wrap func(dyngraph.Dynamic) dyngraph.Dynamic) func(b *testing.B) {
 	return func(b *testing.B) {
 		opts := flood.Opts{MaxSteps: 1 << 17, Scratch: flood.NewScratch()}
@@ -159,16 +135,13 @@ func protoMicro(cfg Config, mspec model.Spec, ptext string) func(b *testing.B) {
 // workloads (sparse edge-MEG ≈ stationary degree 2, waypoint, and a denser
 // edge-MEG ≈ degree 20 for the per-node protocols), reduced under -quick.
 //
-// The delta-vs-edge-scan pairs are the headline numbers of the
-// incremental-dynamics refactor: same model, same seed, same trajectory
-// (engine choice consumes no randomness) — one row consumes the per-step
-// churn (O(churn + frontier) engine work), the other rescans the full
-// snapshot (O(m) with a rank decode per alive edge per step). They run in
-// the paper's sparse stationary regime with long-lived edges (p = c/n,
-// q = 0.01, expected degree ≈ 2 — churn ≈ 2% of edges per step) on the
-// fastchurn simulator, so the whole step is O(churn) and the engine
-// difference is what the pair measures. The n = 65536 pair is a scale at
-// which the batch engine made benching impractical.
+// The sparse-4k and sparse-64k rows run the paper's sparse stationary
+// regime with long-lived edges (p = c/n, q = 0.01, expected degree ≈ 2 —
+// churn ≈ 2% of edges per step) on the fastchurn simulator, so the whole
+// step is O(churn) + frontier. The sparse-4k delta-scan/deltifier pair
+// pits the model's native churn stream against the Deltifier entry adapter
+// (full snapshot + sort + diff every step) on the same model, seed and
+// trajectory — the price a model without a native stream pays.
 func micros(cfg Config) []micro {
 	sparse := model.New("edgemeg").WithInt("n", 2048).
 		WithFloat("p", 0.0001).WithFloat("q", 0.0999)
@@ -196,13 +169,11 @@ func micros(cfg Config) []micro {
 			WithFloat("p", 0.016).WithFloat("q", 0.084)
 		walkSteps = 1 << 11
 	}
-	forceBatch := func(d dyngraph.Dynamic) dyngraph.Dynamic { return batchScanOnly{d} }
-	forceMember := func(d dyngraph.Dynamic) dyngraph.Dynamic { return memberScanOnly{d} }
-	// forceDeltify reproduces the pre-incremental mobility pipeline: the
-	// generic snapshot-diff adapter (full AppendEdges + sort + diff every
-	// step) feeding the same delta engine the native AppendDeltas now feeds
-	// directly. The waypoint-4k delta/deltifier pair is the headline
-	// before/after of the O(churn) mobility work.
+	// forceDeltify routes the model through the generic snapshot-diff
+	// adapter (full AppendEdges + sort + diff every step) feeding the same
+	// delta engine the native AppendDeltas feeds directly. The waypoint-4k
+	// delta/deltifier pair is the headline before/after of the O(churn)
+	// mobility work.
 	forceDeltify := func(d dyngraph.Dynamic) dyngraph.Dynamic { return dyngraph.NewDeltifier(d) }
 	// Not reduced under -quick: the pair is the cross-mode CI gate's
 	// mobility coverage, so both modes must run the identical workload.
@@ -217,14 +188,10 @@ func micros(cfg Config) []micro {
 	megamicros := millionNodeMicros(cfg)
 	rows := []micro{
 		{name: "flood/edgemeg-sparse/delta-scan", run: floodMicro(cfg, sparse, nil)},
-		{name: "flood/edgemeg-sparse/edge-scan", run: floodMicro(cfg, sparse, forceBatch)},
-		{name: "flood/edgemeg-sparse/member-scan", run: floodMicro(cfg, sparse, forceMember)},
 		{name: "flood/edgemeg-sparse-4k/delta-scan", run: floodMicro(cfg, sparse4k, nil)},
-		{name: "flood/edgemeg-sparse-4k/edge-scan", run: floodMicro(cfg, sparse4k, forceBatch)},
+		{name: "flood/edgemeg-sparse-4k/deltifier", run: floodMicro(cfg, sparse4k, forceDeltify)},
 		{name: "flood/edgemeg-sparse-64k/delta-scan", run: floodMicro(cfg, sparse64k, nil)},
-		{name: "flood/edgemeg-sparse-64k/edge-scan", run: floodMicro(cfg, sparse64k, forceBatch)},
 		{name: "flood/waypoint/delta-scan", run: floodMicro(cfg, waypoint, nil)},
-		{name: "flood/waypoint/edge-scan", run: floodMicro(cfg, waypoint, forceBatch)},
 		{name: "flood/waypoint-4k/delta", modeIndependent: true, run: floodMicro(cfg, waypoint4k, nil)},
 		{name: "flood/waypoint-4k/deltifier", modeIndependent: true, run: floodMicro(cfg, waypoint4k, forceDeltify)},
 		{name: "flood/static-torus/engine-only", modeIndependent: true, run: func(b *testing.B) {

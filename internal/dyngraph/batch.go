@@ -5,13 +5,14 @@ package dyngraph
 // edge {u, v} exactly once, normalized to U < V, in an unspecified but
 // deterministic order; the result must be consistent with ForEachNeighbor.
 //
-// Batch access is the hot path of the flooding engine: a flat []Edge scan
-// replaces two closure invocations per edge with a contiguous read, and
-// models whose internal state already is edge-shaped (the sparse edge-MEG
-// alive list, recorded traces, static graphs, geometry cell lists) produce
-// it without materializing adjacency lists at all. Models that cannot
-// produce batches cheaply simply do not implement the interface; the
-// package-level AppendEdges falls back to ForEachNeighbor for them.
+// Batch access is how the delta engines seed their adjacency and how the
+// Deltifier captures snapshots: a flat []Edge read replaces two closure
+// invocations per edge, and models whose internal state already is
+// edge-shaped (the sparse edge-MEG alive list, recorded traces, static
+// graphs, geometry cell lists) produce it without materializing adjacency
+// lists at all. Models that cannot produce batches cheaply simply do not
+// implement the interface; the package-level AppendEdges falls back to
+// ForEachNeighbor for them.
 type Batcher interface {
 	// AppendEdges appends the current snapshot's edges to dst and returns
 	// the extended slice. Implementations must not retain dst.
@@ -78,11 +79,19 @@ func appendEdgesViaCallback(d Dynamic, dst []Edge) []Edge {
 
 // AppendNeighbors appends the current neighbors of node i in d to dst,
 // using the model's native NeighborLister implementation when available
-// and an adapter over ForEachNeighbor otherwise.
+// and an adapter over ForEachNeighbor otherwise. The lister path does not
+// allocate, so per-node hot loops (pull, push–pull, Subsample, Deltifier)
+// call it directly.
 func AppendNeighbors(d Dynamic, i int, dst []int32) []int32 {
 	if l, ok := d.(NeighborLister); ok {
 		return l.AppendNeighbors(i, dst)
 	}
+	return appendNeighborsViaCallback(d, i, dst)
+}
+
+// appendNeighborsViaCallback adapts ForEachNeighbor, split out of
+// AppendNeighbors for the same reason as appendEdgesViaCallback.
+func appendNeighborsViaCallback(d Dynamic, i int, dst []int32) []int32 {
 	d.ForEachNeighbor(i, func(j int) {
 		dst = append(dst, int32(j))
 	})

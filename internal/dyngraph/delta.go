@@ -279,36 +279,76 @@ func diffSortedEdges(prev, cur, born, died []Edge) (b, d []Edge) {
 }
 
 // Deltifier adapts any Dynamic into a DeltaBatcher by diffing consecutive
-// snapshot batches — the generic fallback for models whose step logic does
-// not know its own churn (mobility models, whose edges follow node motion,
-// and recorded traces replayed without delta support). The diff sorts and
-// merges two full snapshots, so Step costs O(m log m): the adapter buys
-// the delta API and O(churn) downstream consumption, not a cheaper model
-// step. Models with edge-shaped state should implement DeltaBatcher
-// natively instead.
+// snapshot batches. It is the spreading engines' entry adapter: every
+// registered model streams its churn natively, and flood.Run, Async and
+// Parsimonious hand any other undirected Dynamic (test doubles, models
+// hidden behind a narrower interface) to a scratch-held Deltifier. The
+// diff sorts and merges two full snapshots, so Step costs O(m log m): the
+// adapter buys the delta API and O(churn) downstream consumption, not a
+// cheaper model step. Models with edge-shaped state should implement
+// DeltaBatcher natively instead.
 //
 // The wrapper owns the clock: callers must Step the Deltifier, never the
 // wrapped model directly. Snapshot reads (ForEachNeighbor, batch and
 // per-node views) are forwarded unchanged.
 type Deltifier struct {
-	d          Dynamic
-	prev, cur  []Edge // (U, V)-sorted snapshots before and after the last Step
-	stepped    bool
-	downstream NeighborLister // d's native per-node view, if any
+	d         Dynamic
+	prev, cur []Edge  // (U, V)-sorted snapshots before and after the last Step
+	nbrs      []int32 // per-node buffer for snapshots of models without Batcher
+	stepped   bool
 }
 
 // NewDeltifier wraps d, capturing its current snapshot as the base the
-// first Step's deltas are computed against.
+// first Step's deltas are computed against. It panics on an ArcBatcher
+// (see Reset).
 func NewDeltifier(d Dynamic) *Deltifier {
-	df := &Deltifier{d: d}
-	df.downstream, _ = d.(NeighborLister)
-	df.cur = sortEdges(AppendEdges(d, df.cur[:0]))
+	df := &Deltifier{}
+	df.Reset(d)
 	return df
+}
+
+// Reset re-targets df at d, reusing every buffer — the scratch-reuse entry
+// point that lets one Deltifier serve every trial of a sweep without
+// allocating once warm. It panics if d is an ArcBatcher: a directed
+// virtual graph has no undirected snapshot, and symmetrising it would
+// silently propagate against its arcs (a programming error in the caller).
+func (df *Deltifier) Reset(d Dynamic) {
+	if _, ok := d.(ArcBatcher); ok {
+		panic("dyngraph: Deltifier cannot wrap a directed ArcBatcher")
+	}
+	df.d = d
+	df.stepped = false
+	df.cur = df.snapshot(df.cur[:0])
+}
+
+// snapshot appends the wrapped model's current edges to dst, sorted by
+// (U, V). Models without Batcher are read node by node through the held
+// neighbor buffer, so a lister-only model is captured without allocating.
+func (df *Deltifier) snapshot(dst []Edge) []Edge {
+	if b, ok := df.d.(Batcher); ok {
+		dst = b.AppendEdges(dst)
+	} else {
+		n := df.d.N()
+		for i := 0; i < n; i++ {
+			df.nbrs = AppendNeighbors(df.d, i, df.nbrs[:0])
+			for _, j := range df.nbrs {
+				if int32(i) < j {
+					dst = append(dst, Edge{int32(i), j})
+				}
+			}
+		}
+	}
+	return sortEdges(dst)
 }
 
 func sortEdges(edges []Edge) []Edge {
 	slices.SortFunc(edges, compareEdges)
 	return edges
+}
+
+// Bytes returns the heap bytes retained by the adapter's buffers.
+func (df *Deltifier) Bytes() int64 {
+	return int64(cap(df.prev)+cap(df.cur))*8 + int64(cap(df.nbrs))*4
 }
 
 // N implements Dynamic.
@@ -318,8 +358,7 @@ func (df *Deltifier) N() int { return df.d.N() }
 // snapshots before and after are retained for AppendDeltas.
 func (df *Deltifier) Step() {
 	df.d.Step()
-	df.prev, df.cur = df.cur, df.prev[:0]
-	df.cur = sortEdges(AppendEdges(df.d, df.cur))
+	df.prev, df.cur = df.cur, df.snapshot(df.prev[:0])
 	df.stepped = true
 }
 
@@ -334,11 +373,8 @@ func (df *Deltifier) AppendEdges(dst []Edge) []Edge {
 }
 
 // AppendNeighbors implements NeighborLister, forwarding to the wrapped
-// model's native view when it has one.
+// model.
 func (df *Deltifier) AppendNeighbors(i int, dst []int32) []int32 {
-	if df.downstream != nil {
-		return df.downstream.AppendNeighbors(i, dst)
-	}
 	return AppendNeighbors(df.d, i, dst)
 }
 

@@ -241,6 +241,30 @@ func TestSubsamplePanicsOnBadK(t *testing.T) {
 	NewSubsample(NewStatic(graph.Cycle(3)), 0, rng.New(1))
 }
 
+// TestDeltifierRejectsArcBatcher pins the entry adapter's guard: a
+// directed virtual graph has no undirected snapshot, so wrapping one —
+// fresh or through Reset — is a programming error, not a silent
+// symmetrisation of its arcs.
+func TestDeltifierRejectsArcBatcher(t *testing.T) {
+	arcs := NewSubsample(NewStatic(graph.Cycle(5)), 1, rng.New(1))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewDeltifier(ArcBatcher) did not panic")
+			}
+		}()
+		NewDeltifier(arcs)
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Deltifier.Reset(ArcBatcher) did not panic")
+			}
+		}()
+		NewDeltifier(NewStatic(graph.Cycle(5))).Reset(arcs)
+	}()
+}
+
 func TestTracePanics(t *testing.T) {
 	func() {
 		defer func() {

@@ -17,15 +17,14 @@ import "repro/internal/rng"
 // independent of which nodes are queried, in what order, or how often.
 // That query-order independence is what lets the whole-snapshot arc batch
 // (AppendArcs) and lazy per-node queries (AppendNeighbors) expose the very
-// same virtual graph, so the flooding arc-scan and member-scan paths return
-// identical results. Note that subsampling is directional: i keeping j does
+// same virtual graph, so the flooding arc scan and any per-node consumer see
+// identical subsets. Note that subsampling is directional: i keeping j does
 // not imply j keeps i, matching push-style gossip.
 type Subsample struct {
-	inner  Dynamic
-	lister NeighborLister // inner as NeighborLister, nil if unimplemented
-	k      int
-	base   uint64 // seed of the per-(node, epoch) sampling streams
-	epoch  uint64
+	inner Dynamic
+	k     int
+	base  uint64 // seed of the per-(node, epoch) sampling streams
+	epoch uint64
 	// Per-node cache of the sampled neighbor subset, keyed by epoch.
 	cacheEpoch []uint64
 	cache      [][]int32
@@ -64,7 +63,6 @@ func (s *Subsample) Reset(inner Dynamic, k int, r *rng.RNG) {
 	}
 	n := inner.N()
 	s.inner = inner
-	s.lister, _ = inner.(NeighborLister)
 	s.k = k
 	s.base = r.Uint64()
 	s.epoch = 1
@@ -96,11 +94,7 @@ func (s *Subsample) fill(i int) {
 	if s.cacheEpoch[i] == s.epoch {
 		return
 	}
-	if s.lister != nil {
-		s.scratch = s.lister.AppendNeighbors(i, s.scratch[:0])
-	} else {
-		s.scratch = AppendNeighbors(s.inner, i, s.scratch[:0])
-	}
+	s.scratch = AppendNeighbors(s.inner, i, s.scratch[:0])
 	chosen := s.cache[i][:0]
 	if len(s.scratch) <= s.k {
 		chosen = append(chosen, s.scratch...)

@@ -34,8 +34,8 @@ func TestFloodDeltaScanZeroAlloc(t *testing.T) {
 	assertZeroAlloc(t, "flood delta-scan", func() { Run(d, 0, opts) })
 }
 
-// batcherOnly hides DeltaBatcher (and the per-node view) so the run takes
-// the flat edge-scan path.
+// batcherOnly hides DeltaBatcher (and the per-node view), so the run enters
+// through the scratch-held Deltifier, which snapshots it via AppendEdges.
 type batcherOnly struct{ s *dyngraph.Static }
 
 func (b batcherOnly) N() int                                { return b.s.N() }
@@ -54,8 +54,8 @@ func TestFloodEdgeScanZeroAlloc(t *testing.T) {
 	assertZeroAlloc(t, "flood edge-scan", func() { Run(d, 0, opts) })
 }
 
-// listerOnly hides Batcher/ArcBatcher so the run takes the member-scan
-// path, keeping the cheap per-node batch view.
+// listerOnly hides every view but the per-node lister, so the scratch-held
+// Deltifier snapshots it node by node through its held neighbor buffer.
 type listerOnly struct{ s *dyngraph.Static }
 
 func (l listerOnly) N() int                                     { return l.s.N() }
@@ -107,9 +107,10 @@ func TestRandomizedPushZeroAlloc(t *testing.T) {
 	assertZeroAlloc(t, "randomized push (arc-scan)", func() { RandomizedPush(d, 0, 2, r, opts) })
 }
 
-// The async engine owes the same contract on all three dispatch paths: a
-// warm scratch (event wheel ring/heaps, per-node clocks, adjacency) serves
-// every run without heap traffic. Runs are deterministic per clock seed,
+// The async engine owes the same contract whether the model streams its
+// churn natively or enters through the Deltifier (Batcher-only and
+// lister-only views): a warm scratch (event wheel ring/heaps, per-node
+// clocks, adjacency, Deltifier) serves every run without heap traffic. Runs are deterministic per clock seed,
 // so the warm-up run reaches every buffer's high-water capacity.
 
 func TestAsyncDeltaZeroAlloc(t *testing.T) {

@@ -43,9 +43,11 @@ const asyncWheelBuckets = 64
 // The contact draw is insensitive to neighbor-list ORDER: one draw s per
 // firing gives every current neighbor j the priority rng.Seed(s, j), and
 // the minimum wins — uniform over the neighbor set, ties broken by node
-// id. A delta-maintained adjacency (whose swap-remove perturbs order), a
-// per-step rebuilt one, and the model's own neighbor view therefore
-// produce byte-identical runs, pinned by the async equivalence tests.
+// id. The delta-maintained adjacency (whose swap-remove perturbs order)
+// therefore gives the same run whether it is fed by the model's native
+// churn stream or by the Deltifier entry adapter, and the same run a
+// read of the model's own neighbor view would — pinned by the async
+// equivalence tests.
 //
 // Result semantics match the synchronous engines at step granularity:
 // Time/HalfTime/Timeline record informed-set sizes at step boundaries, and
@@ -69,16 +71,17 @@ func Async(d dyngraph.Dynamic, source int, rate float64, clockSeed uint64, opts 
 	for i := 0; i < n; i++ {
 		wheel.Schedule(int32(i), gapTicks(&clocks[i], rate))
 	}
-	// Pick the cheapest neighbor access the model offers, mirroring Run:
-	// delta-maintained adjacency when the model streams churn, per-step
-	// rebuilt adjacency for plain batchers, the model's own per-node view
-	// otherwise. All three compute the identical trajectory (see above).
-	if db, ok := d.(dyngraph.DeltaBatcher); ok {
-		asyncDelta(db, d, sc, rate, opts, &res)
-	} else if b, ok := d.(dyngraph.Batcher); ok {
-		asyncBatch(b, d, sc, rate, opts, &res)
-	} else {
-		asyncMember(d, sc, rate, opts, &res)
+	g := sc.deltaGraph(d)
+	sc.seed(g)
+	size := 1
+	maxSteps := opts.maxSteps()
+	for t := 0; t < maxSteps; t++ {
+		msgs, newly := asyncFires(sc, rate, int64(t+1)*TicksPerStep)
+		size += newly
+		if record(&res, opts, n, size, t, msgs) {
+			return res
+		}
+		sc.advance(g)
 	}
 	return res
 }
@@ -99,7 +102,7 @@ func gapTicks(cl *rng.RNG, rate float64) int64 {
 // firing node: draw s names priority rng.Seed(s, j) for every neighbor j
 // and the minimum wins, with ties broken by smaller id. Uniform over the
 // neighbor SET and independent of list order — the property the async
-// dispatch-path equivalence rests on. nbrs must be non-empty.
+// equivalence pins rest on. nbrs must be non-empty.
 func contact(s uint64, nbrs []int32) int32 {
 	best := nbrs[0]
 	bestH := rng.Seed(s, uint64(best))
@@ -113,9 +116,10 @@ func contact(s uint64, nbrs []int32) int32 {
 }
 
 // asyncFires drains one step's firings (ticks below limit) against the
-// neighbor lists of adj, informing contacts immediately, and returns the
-// step's message count and first-time informs. Shared by the delta and
-// batch dispatch paths.
+// neighbor lists of the delta-maintained adjacency, informing contacts
+// immediately, and returns the step's message count and first-time
+// informs. A step costs O(firings); the adjacency upkeep between steps
+// costs O(churn).
 func asyncFires(sc *Scratch, rate float64, limit int64) (msgs int64, newly int) {
 	wheel, clocks, informed := sc.wheel, sc.clocks, sc.informed
 	for {
@@ -135,91 +139,5 @@ func asyncFires(sc *Scratch, rate float64, limit int64) (msgs int64, newly int) 
 			}
 		}
 		wheel.Schedule(node, tick+gapTicks(cl, rate))
-	}
-}
-
-// asyncDelta is the incremental dispatch path: the adjacency is seeded from
-// one snapshot batch and maintained from per-step churn, so a step costs
-// O(firings + churn).
-func asyncDelta(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, rate float64, opts Opts, res *Result) {
-	n := sc.informed.Len()
-	sc.edges = dyngraph.AppendEdges(d, sc.edges[:0])
-	sc.adj.Reset(n)
-	sc.adj.AddEdges(sc.edges)
-	size := 1
-	mr, _ := db.(dyngraph.MoveReporter)
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		msgs, newly := asyncFires(sc, rate, int64(t+1)*TicksPerStep)
-		size += newly
-		if record(res, opts, n, size, t, msgs) {
-			return
-		}
-		d.Step()
-		sc.born, sc.died = db.AppendDeltas(sc.born[:0], sc.died[:0])
-		sc.adj.Apply(sc.born, sc.died)
-		sc.bornTotal += int64(len(sc.born))
-		sc.diedTotal += int64(len(sc.died))
-		if mr != nil {
-			sc.movedTotal += int64(mr.MovedLastStep())
-		}
-		sc.deltaSteps++
-	}
-}
-
-// asyncBatch rebuilds the adjacency from the flat snapshot batch every
-// step — the path for models with batch access but no delta stream.
-func asyncBatch(b dyngraph.Batcher, d dyngraph.Dynamic, sc *Scratch, rate float64, opts Opts, res *Result) {
-	n := sc.informed.Len()
-	size := 1
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		sc.edges = b.AppendEdges(sc.edges[:0])
-		sc.adj.Reset(n)
-		sc.adj.AddEdges(sc.edges)
-		msgs, newly := asyncFires(sc, rate, int64(t+1)*TicksPerStep)
-		size += newly
-		if record(res, opts, n, size, t, msgs) {
-			return
-		}
-		d.Step()
-	}
-}
-
-// asyncMember reads each firing node's neighbors from the model's own
-// per-node view — the fallback path, and the reference the adjacency
-// paths are pinned against.
-func asyncMember(d dyngraph.Dynamic, sc *Scratch, rate float64, opts Opts, res *Result) {
-	n := sc.informed.Len()
-	nr := newNeighborReader(d)
-	wheel, clocks, informed := sc.wheel, sc.clocks, sc.informed
-	size := 1
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		limit := int64(t+1) * TicksPerStep
-		var msgs int64
-		for {
-			node, tick, ok := wheel.PopBefore(limit)
-			if !ok {
-				break
-			}
-			cl := &clocks[node]
-			if informed.Get(int(node)) {
-				sc.nbrs = nr.append(int(node), sc.nbrs[:0])
-				if len(sc.nbrs) > 0 {
-					msgs++
-					j := int(contact(cl.Uint64(), sc.nbrs))
-					if !informed.Get(j) {
-						informed.Set(j)
-						size++
-					}
-				}
-			}
-			wheel.Schedule(node, tick+gapTicks(cl, rate))
-		}
-		if record(res, opts, n, size, t, msgs) {
-			return
-		}
-		d.Step()
 	}
 }

@@ -1,8 +1,8 @@
 package flood_test
 
-// Pins for the asynchronous Poisson-clock engine: the three dispatch paths
-// (delta-maintained adjacency, per-step rebuilt adjacency, per-node member
-// view) must produce byte-identical Results including the cost fields, the
+// Pins for the asynchronous Poisson-clock engine: the native delta stream
+// and the Deltifier entry adapter over Batcher-only and lister-only views
+// must produce byte-identical Results including the cost fields, the
 // trajectory must be a pure function of (graph realization, clockSeed), and
 // the rate parameter must obey the law it claims — λ-fold more firings per
 // step completes proportionally faster, and λ=1 lands in the same regime as
@@ -19,9 +19,10 @@ import (
 )
 
 // TestAsyncDispatchPathsAgree pins the order-insensitive contact draw: the
-// delta path (swap-remove perturbs neighbor order), the batch path (rebuilt
-// sorted-by-insertion order), and the member path (the model's own order)
-// must agree exactly, cost fields included.
+// adjacency fed by the model's native churn and the one fed by the
+// Deltifier (sorted snapshot diffs, from a Batcher-only or a lister-only
+// view) hold each neighborhood in different orders, and must agree
+// exactly, cost fields included.
 func TestAsyncDispatchPathsAgree(t *testing.T) {
 	opts := flood.Opts{MaxSteps: 1 << 13, KeepTimeline: true}
 	for _, ms := range equivModels {

@@ -7,8 +7,9 @@ package flood_test
 // size bookkeeping) over every registered model, and must return
 // byte-identical Results, timeline included. Because delta-capable models
 // steer flood.Run and Parsimonious onto the adjacency-backed incremental
-// engines, those paths are pinned here too — directly, via forced batch
-// fallback, and through the generic Deltifier adapter.
+// engines, those paths are pinned here too — directly, and through the
+// Deltifier entry adapter (explicitly, or from Batcher-only and lister-only
+// views of the model).
 //
 // One deliberate behavior change is NOT covered by these pins: the
 // dyngraph.Subsample sampling scheme moved from one sequential RNG stream
@@ -350,9 +351,9 @@ func stripCost(r flood.Result) flood.Result {
 	return r
 }
 
-// forceMemberScan hides batch interfaces so the engine falls back to the
-// per-node path, while keeping NeighborLister visible to match how the old
-// engine saw the same model.
+// forceMemberScan hides batch interfaces while keeping NeighborLister
+// visible to match how the old engine saw the same model; the delta
+// engines enter it through the Deltifier's per-node snapshot capture.
 type forceMemberScan struct{ d dyngraph.Dynamic }
 
 func (f forceMemberScan) N() int                                { return f.d.N() }
@@ -363,8 +364,9 @@ func (f forceMemberScan) AppendNeighbors(i int, dst []int32) []int32 {
 }
 
 // forceBatchScan hides DeltaBatcher (and the per-node view) while keeping
-// Batcher, pinning the flat-edge-scan path that models without delta
-// support still take — and that the delta engine must agree with exactly.
+// Batcher, so the delta engines enter it through the Deltifier — the path
+// any model without a native delta stream takes, which must agree with
+// the native stream exactly.
 type forceBatchScan struct{ d dyngraph.Dynamic }
 
 func (f forceBatchScan) N() int                                { return f.d.N() }
@@ -435,9 +437,9 @@ func TestEnginesMatchPreRefactorReference(t *testing.T) {
 }
 
 // TestMobilityDispatchEquivalence pins the incremental-mobility tentpole:
-// for every geometric model the native delta path (the dispatch flood.Run
-// and Parsimonious now pick, fed by the models' own AppendDeltas), the
-// forced batch path, and the generic Deltifier wrapper must produce
+// for every geometric model the native delta path (fed by the models' own
+// AppendDeltas), the Batcher-only view (deltified at engine entry), and
+// an explicit Deltifier wrapper must produce
 // byte-identical Results at fixed seeds — including the PR 8 cost fields
 // and timelines, which stripCost hides in the pre-refactor pins above.
 func TestMobilityDispatchEquivalence(t *testing.T) {
@@ -545,14 +547,22 @@ func TestScratchWarmthDoesNotChangeResults(t *testing.T) {
 			plain := flood.Opts{MaxSteps: 1 << 14, KeepTimeline: true}
 			shared := plain
 			shared.Scratch = sc
+			// Each delta engine also runs over the Batcher-only view of the
+			// model right after its native run, so the shared scratch
+			// alternates between the native churn stream and its held
+			// Deltifier entry adapter.
+			batchOnly := func() dyngraph.Dynamic { return forceBatchScan{model.MustBuild(ms, seed)} }
 			run := func(o flood.Opts) []flood.Result {
 				return []flood.Result{
 					flood.Run(model.MustBuild(ms, seed), 0, o),
+					flood.Run(batchOnly(), 0, o),
 					flood.RandomizedPush(model.MustBuild(ms, seed), 0, 2, rng.New(7), o),
 					flood.Pull(model.MustBuild(ms, seed), 0, rng.New(11), o),
 					flood.PushPull(model.MustBuild(ms, seed), 0, 1, rng.New(13), o),
 					flood.Parsimonious(model.MustBuild(ms, seed), 0, 6, o),
+					flood.Parsimonious(batchOnly(), 0, 6, o),
 					flood.Async(model.MustBuild(ms, seed), 0, 1, 17, o),
+					flood.Async(batchOnly(), 0, 1, 17, o),
 				}
 			}
 			if got, want := run(shared), run(plain); !reflect.DeepEqual(got, want) {

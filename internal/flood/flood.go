@@ -220,58 +220,20 @@ func record(res *Result, opts Opts, n, size, t int, msgs int64) bool {
 	return false
 }
 
-// neighborReader is the cheapest per-node neighbor accessor d offers: the
-// native dyngraph.NeighborLister batch when implemented, else an adapter
-// over ForEachNeighbor. Engines that touch nodes individually (member-scan
-// flooding, pull, parsimonious, push–pull) build one per run, hoisting the
-// interface check out of their per-node hot loops; unlike a bound method
-// value, the plain struct keeps the lister path allocation-free.
-type neighborReader struct {
-	lister dyngraph.NeighborLister // nil when d does not implement it
-	d      dyngraph.Dynamic
-}
-
-func newNeighborReader(d dyngraph.Dynamic) neighborReader {
-	l, _ := d.(dyngraph.NeighborLister)
-	return neighborReader{lister: l, d: d}
-}
-
-// append appends node i's current neighbors to dst.
-func (nr neighborReader) append(i int, dst []int32) []int32 {
-	if nr.lister != nil {
-		return nr.lister.AppendNeighbors(i, dst)
-	}
-	return appendViaCallback(nr.d, i, dst)
-}
-
-// appendViaCallback adapts ForEachNeighbor. It lives outside
-// neighborReader.append so that the closure capturing dst — which costs a
-// heap cell per call — is only materialized on the callback path, keeping
-// the lister path allocation-free.
-func appendViaCallback(d dyngraph.Dynamic, i int, dst []int32) []int32 {
-	d.ForEachNeighbor(i, func(j int) {
-		dst = append(dst, int32(j))
-	})
-	return dst
-}
-
 // Run floods d from source and returns the result. It panics if source is
 // out of range (a programming error in the caller).
 //
-// The engine picks the cheapest snapshot access the model offers. Models
-// implementing dyngraph.DeltaBatcher are flooded by the incremental
-// engine: a persistent adjacency maintained from per-step churn plus an
+// Undirected models are flooded by the incremental engine over the model's
+// per-step churn (dyngraph.DeltaBatcher): a persistent adjacency plus an
 // active-set sweep that scans only neighborhoods which can still spread —
-// O(churn + frontier) per step instead of O(m). Models implementing only
-// dyngraph.Batcher are flooded by a linear scan of the flat edge batch —
-// one contiguous read per snapshot, no per-edge callbacks and no adjacency
-// materialization; directed virtual graphs implementing
-// dyngraph.ArcBatcher get the same scan with one-way propagation. All
-// other models are flooded by rescanning the informed set against per-node
-// neighbor batches. Every path computes the identical deterministic
-// process I_0 = {s}, I_{t+1} = I_t ∪ Γ_t(I_t), so Results agree exactly
-// for a given model state — pinned per path by the fixed-seed equivalence
-// tests.
+// O(churn + frontier) per step instead of O(m). Every registered model
+// streams its churn natively; any other Dynamic is wrapped in the
+// scratch-held dyngraph.Deltifier at entry. Directed virtual graphs
+// implementing dyngraph.ArcBatcher (the k-push subsampled graph) are
+// flooded by a linear scan of the arc batch with one-way propagation. Both
+// paths compute the deterministic process I_0 = {s}, I_{t+1} = I_t ∪
+// Γ_t(I_t), pinned against the pre-refactor reference engines by the
+// fixed-seed equivalence tests.
 func Run(d dyngraph.Dynamic, source int, opts Opts) Result {
 	n := d.N()
 	sc, res, done := start(n, source, opts)
@@ -280,55 +242,10 @@ func Run(d dyngraph.Dynamic, source int, opts Opts) Result {
 	}
 	if ab, ok := d.(dyngraph.ArcBatcher); ok {
 		runArcScan(ab, d, sc, opts, &res)
-	} else if db, ok := d.(dyngraph.DeltaBatcher); ok {
-		runDeltaScan(db, d, sc, opts, &res)
-	} else if b, ok := d.(dyngraph.Batcher); ok {
-		runEdgeScan(b, d, sc, opts, &res)
 	} else {
-		runMemberScan(d, sc, opts, &res)
+		runDeltaScan(sc.deltaGraph(d), sc, opts, &res)
 	}
 	return res
-}
-
-// runEdgeScan floods over the batch snapshot view: every step scans the
-// flat edge list once, marking the far side of every edge that crosses the
-// informed-set boundary in the pending bitset — a branch-light loop whose
-// membership tests are single-word mask probes, with no per-step dedup
-// bookkeeping because bit sets are idempotent. Pending bits are committed
-// into the informed set only at step end (Absorb), so the scan propagates
-// from I_t alone: chained same-step propagation would be wrong in a
-// dynamic graph.
-func runEdgeScan(b dyngraph.Batcher, d dyngraph.Dynamic, sc *Scratch, opts Opts, res *Result) {
-	// Hoist the bitset headers into locals: accessed through sc they would
-	// be reloaded after every store, since the compiler cannot prove the
-	// bit writes don't alias the scratch struct. The words arrays stay
-	// shared; only the headers are copied.
-	informed, pending := sc.informed, sc.pending
-	n := informed.Len()
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		sc.edges = b.AppendEdges(sc.edges[:0])
-		var msgs int64
-		for _, e := range sc.edges {
-			ui, vi := informed.Get(int(e.U)), informed.Get(int(e.V))
-			if ui {
-				msgs++
-				if !vi {
-					pending.Set(int(e.V))
-				}
-			}
-			if vi {
-				msgs++
-				if !ui {
-					pending.Set(int(e.U))
-				}
-			}
-		}
-		if record(res, opts, n, informed.Absorb(&pending), t, msgs) {
-			return
-		}
-		d.Step()
-	}
 }
 
 // runDeltaScan is the incremental flooding engine for models that expose
@@ -350,9 +267,9 @@ func runEdgeScan(b dyngraph.Batcher, d dyngraph.Dynamic, sc *Scratch, opts Opts,
 // asymptotic win over the full edge scan comes from.
 //
 // The informed-set trajectory is the exact flooding process — identical to
-// the edge-scan and member-scan engines for a given model state, because
-// marking the uninformed neighbors of every informed node that has any is
-// the same set union regardless of scan order.
+// a full rescan of every informed node's neighborhood, because marking the
+// uninformed neighbors of every informed node that has any is the same set
+// union regardless of scan order.
 //
 // The active and pending sets are two-level bitsets and the informed-set
 // size is tracked incrementally (AbsorbInto returns the step's new
@@ -360,11 +277,9 @@ func runEdgeScan(b dyngraph.Batcher, d dyngraph.Dynamic, sc *Scratch, opts Opts,
 // O(n/64): no flat sweep over the universe survives in the loop, which is
 // what keeps a million-node step proportional to churn + frontier once
 // the spreading process has localized.
-func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opts Opts, res *Result) {
+func runDeltaScan(g deltaGraph, sc *Scratch, opts Opts, res *Result) {
 	n := sc.informed.Len()
-	sc.edges = dyngraph.AppendEdges(d, sc.edges[:0])
-	sc.adj.Reset(n)
-	sc.adj.AddEdges(sc.edges)
+	sc.seed(g)
 	sc.active.Reset(n)
 	sc.fresh.Reset(n)
 	// load maintains Σ_{i ∈ informed} deg(i) over the CURRENT adjacency —
@@ -383,7 +298,6 @@ func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opt
 		load += int64(sc.adj.Degree(int(i)))
 	}
 	informed, pending, active := sc.informed, &sc.fresh, &sc.active
-	mr, _ := db.(dyngraph.MoveReporter)
 	maxSteps := opts.maxSteps()
 	for t := 0; t < maxSteps; t++ {
 		msgs := load
@@ -414,15 +328,7 @@ func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opt
 		if record(res, opts, n, size, t, msgs) {
 			return
 		}
-		d.Step()
-		sc.born, sc.died = db.AppendDeltas(sc.born[:0], sc.died[:0])
-		sc.adj.Apply(sc.born, sc.died)
-		sc.bornTotal += int64(len(sc.born))
-		sc.diedTotal += int64(len(sc.died))
-		if mr != nil {
-			sc.movedTotal += int64(mr.MovedLastStep())
-		}
-		sc.deltaSteps++
+		sc.advance(g)
 		for _, e := range sc.born {
 			if informed.Get(int(e.U)) {
 				active.Set(int(e.U))
@@ -444,10 +350,17 @@ func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opt
 	}
 }
 
-// runArcScan is runEdgeScan for directed virtual graphs: arcs carry
-// information only from tail to head, so only U → V with U informed and V
-// not marks pending.
+// runArcScan floods a directed virtual graph over its flat arc batch: every
+// step scans the arcs once, and arcs carry information only from tail to
+// head, so only U → V with U informed and V not marks pending. Pending bits
+// are committed into the informed set only at step end (Absorb), so the
+// scan propagates from I_t alone: chained same-step propagation would be
+// wrong in a dynamic graph.
 func runArcScan(ab dyngraph.ArcBatcher, d dyngraph.Dynamic, sc *Scratch, opts Opts, res *Result) {
+	// Hoist the bitset headers into locals: accessed through sc they would
+	// be reloaded after every store, since the compiler cannot prove the
+	// bit writes don't alias the scratch struct. The words arrays stay
+	// shared; only the headers are copied.
 	informed, pending := sc.informed, sc.pending
 	n := informed.Len()
 	maxSteps := opts.maxSteps()
@@ -460,34 +373,6 @@ func runArcScan(ab dyngraph.ArcBatcher, d dyngraph.Dynamic, sc *Scratch, opts Op
 				if !informed.Get(int(e.V)) {
 					pending.Set(int(e.V))
 				}
-			}
-		}
-		if record(res, opts, n, informed.Absorb(&pending), t, msgs) {
-			return
-		}
-		d.Step()
-	}
-}
-
-// runMemberScan floods by rescanning every informed node's current
-// neighbors — the fallback for models without batch snapshot access. The
-// member list is rebuilt each round from the informed bitset by word-level
-// iteration, and neighbors are marked pending and committed at step end,
-// like the scan engines.
-func runMemberScan(d dyngraph.Dynamic, sc *Scratch, opts Opts, res *Result) {
-	informed, pending := sc.informed, sc.pending
-	n := informed.Len()
-	nr := newNeighborReader(d)
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		// Scan snapshot E_t for edges leaving the informed set.
-		sc.queue = informed.AppendMembers(sc.queue[:0])
-		var msgs int64
-		for _, i := range sc.queue {
-			sc.nbrs = nr.append(int(i), sc.nbrs[:0])
-			msgs += int64(len(sc.nbrs)) // one transmission per neighbor
-			for _, j := range sc.nbrs {
-				pending.Set(int(j))
 			}
 		}
 		if record(res, opts, n, informed.Absorb(&pending), t, msgs) {

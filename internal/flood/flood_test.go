@@ -287,3 +287,25 @@ func BenchmarkFloodStaticGrid(b *testing.B) {
 		Run(dyngraph.NewStatic(g), 0, Opts{})
 	}
 }
+
+// TestDeltaEnginesRejectArcBatcher: Async and Parsimonious take every
+// undirected model through the delta contract, so handing them a directed
+// virtual graph must panic at entry rather than symmetrise its arcs.
+func TestDeltaEnginesRejectArcBatcher(t *testing.T) {
+	sub := func() dyngraph.Dynamic {
+		return dyngraph.NewSubsample(dyngraph.NewStatic(graph.Cycle(6)), 1, rng.New(3))
+	}
+	for name, run := range map[string]func(){
+		"async":        func() { Async(sub(), 0, 1, 7, Opts{MaxSteps: 8}) },
+		"parsimonious": func() { Parsimonious(sub(), 0, 2, Opts{MaxSteps: 8}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an ArcBatcher did not panic", name)
+				}
+			}()
+			run()
+		}()
+	}
+}

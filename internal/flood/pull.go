@@ -34,7 +34,6 @@ func Pull(d dyngraph.Dynamic, source int, r *rng.RNG, opts Opts) Result {
 	if done {
 		return res
 	}
-	nr := newNeighborReader(d)
 	informed, pending := sc.informed, sc.pending
 
 	maxSteps := opts.maxSteps()
@@ -46,7 +45,7 @@ func Pull(d dyngraph.Dynamic, source int, r *rng.RNG, opts Opts) Result {
 		// is the zero-waste engine: Useless stays 0 by construction.
 		var msgs int64
 		for _, i := range sc.queue {
-			sc.nbrs = nr.append(int(i), sc.nbrs[:0])
+			sc.nbrs = dyngraph.AppendNeighbors(d, int(i), sc.nbrs[:0])
 			if len(sc.nbrs) == 0 {
 				continue
 			}

@@ -38,7 +38,6 @@ func PushPull(d dyngraph.Dynamic, source, k int, r *rng.RNG, opts Opts) Result {
 	if done {
 		return res
 	}
-	nr := newNeighborReader(d)
 	informed, pending := sc.informed, sc.pending
 
 	maxSteps := opts.maxSteps()
@@ -48,7 +47,7 @@ func PushPull(d dyngraph.Dynamic, source, k int, r *rng.RNG, opts Opts) Result {
 		// queried neighbor is informed and answers, like the Pull engine.
 		var msgs int64
 		for i := 0; i < n; i++ {
-			sc.nbrs = nr.append(i, sc.nbrs[:0])
+			sc.nbrs = dyngraph.AppendNeighbors(d, i, sc.nbrs[:0])
 			if len(sc.nbrs) == 0 {
 				continue
 			}

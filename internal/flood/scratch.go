@@ -9,8 +9,9 @@ import (
 
 // Scratch is the reusable working state of one spreading run: the informed
 // and pending bitsets, the snapshot edge buffer, the per-node neighbor
-// buffer, the member/active queues, and (for k-push) the subsampled-graph
-// wrapper. Every engine in this package draws its state from a Scratch, so
+// buffer, the member/active queues, the delta-maintained adjacency, and the
+// view adapters (the subsampled-graph wrapper of k-push, the Deltifier for
+// models without a native delta stream). Every engine in this package draws its state from a Scratch, so
 // a caller that runs many trials — internal/study gives each worker one —
 // pays the allocation cost once and every later trial runs the hot loop
 // with zero heap allocations (asserted by TestFloodRunZeroAlloc*).
@@ -27,14 +28,13 @@ type Scratch struct {
 	// happen.
 	informed bitset.Set
 	pending  bitset.Set
-	// edges receives the flat snapshot batch (edge-scan and arc-scan).
+	// edges receives a flat snapshot batch: the arc batch of the k-push
+	// arc scan, or the seeding snapshot of the delta engines.
 	edges []dyngraph.Edge
-	// nbrs receives one node's neighbor batch (member-scan, pull,
-	// push–pull, parsimonious).
+	// nbrs receives one node's neighbor batch (pull, push–pull).
 	nbrs []int32
-	// queue holds the node list driving a round: informed members
-	// (member-scan), uninformed nodes (pull), or active transmitters
-	// (parsimonious).
+	// queue holds the node list driving a round: active members (flood),
+	// uninformed nodes (pull), or active transmitters (parsimonious).
 	queue []int32
 	// newly collects nodes informed this round when the engine needs them
 	// individually (parsimonious window bookkeeping).
@@ -45,7 +45,10 @@ type Scratch struct {
 	idx []int
 	// sub is the reusable subsampled-graph wrapper of RandomizedPush.
 	sub *dyngraph.Subsample
-	// adj is the persistent neighbor store of the delta fast paths: seeded
+	// df is the reusable entry adapter of Run, Async and Parsimonious for
+	// models that do not stream their churn natively.
+	df *dyngraph.Deltifier
+	// adj is the persistent neighbor store of the delta engines: seeded
 	// from one snapshot batch at run start, then maintained in place from
 	// the model's per-step churn (dyngraph.DeltaBatcher), so the engine
 	// never rescans unchanged edges.
@@ -88,8 +91,9 @@ func NewScratch() *Scratch { return &Scratch{} }
 // buffers — the number a telemetry gauge reports as the per-worker memory
 // footprint of the spreading engine. It is an accounting sum over backing
 // array capacities (bitset words, edge and index buffers, adjacency lists,
-// subsample caches), not a runtime measurement, so it is cheap enough to
-// call between trials but is NOT part of the zero-alloc hot path contract.
+// subsample caches, Deltifier snapshots), not a runtime measurement, so it
+// is cheap enough to call between trials but is NOT part of the zero-alloc
+// hot path contract.
 func (sc *Scratch) Bytes() int64 {
 	b := sc.informed.Bytes() + sc.pending.Bytes() + sc.active.Bytes() + sc.fresh.Bytes()
 	b += int64(cap(sc.edges))*8 + int64(cap(sc.born))*8 + int64(cap(sc.died))*8
@@ -98,6 +102,9 @@ func (sc *Scratch) Bytes() int64 {
 	b += sc.adj.Bytes()
 	if sc.sub != nil {
 		b += sc.sub.Bytes()
+	}
+	if sc.df != nil {
+		b += sc.df.Bytes()
 	}
 	if sc.wheel != nil {
 		b += sc.wheel.Bytes()
@@ -133,6 +140,50 @@ func (sc *Scratch) subsample(d dyngraph.Dynamic, k int, r *rng.RNG) *dyngraph.Su
 		sc.sub.Reset(d, k, r)
 	}
 	return sc.sub
+}
+
+// deltaGraph is the one undirected engine contract: a dynamic graph that
+// streams its per-step churn.
+type deltaGraph interface {
+	dyngraph.Dynamic
+	dyngraph.DeltaBatcher
+}
+
+// deltaGraph returns d itself when it streams its churn natively, and
+// otherwise the scratch-held Deltifier reset over d. It panics on a
+// directed dyngraph.ArcBatcher, which has no undirected snapshot to diff.
+func (sc *Scratch) deltaGraph(d dyngraph.Dynamic) deltaGraph {
+	if g, ok := d.(deltaGraph); ok {
+		return g
+	}
+	if sc.df == nil {
+		sc.df = &dyngraph.Deltifier{}
+	}
+	sc.df.Reset(d)
+	return sc.df
+}
+
+// seed loads g's current snapshot into the adjacency — the start of every
+// delta engine run.
+func (sc *Scratch) seed(g deltaGraph) {
+	sc.edges = dyngraph.AppendEdges(g, sc.edges[:0])
+	sc.adj.Reset(g.N())
+	sc.adj.AddEdges(sc.edges)
+}
+
+// advance steps g, applies its churn to the adjacency, leaves the churn in
+// born/died for the engine's own bookkeeping, and accumulates the churn
+// totals.
+func (sc *Scratch) advance(g deltaGraph) {
+	g.Step()
+	sc.born, sc.died = g.AppendDeltas(sc.born[:0], sc.died[:0])
+	sc.adj.Apply(sc.born, sc.died)
+	sc.bornTotal += int64(len(sc.born))
+	sc.diedTotal += int64(len(sc.died))
+	if mr, ok := g.(dyngraph.MoveReporter); ok {
+		sc.movedTotal += int64(mr.MovedLastStep())
+	}
+	sc.deltaSteps++
 }
 
 // expirySlice returns the expiry buffer sized to n. Values are garbage

@@ -92,6 +92,40 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsDegenerateParams pins that out-of-range numeric params
+// reach the caller as a Build error — never a builder panic, never a
+// silently accepted value.
+func TestBuildRejectsDegenerateParams(t *testing.T) {
+	for _, text := range []string{
+		"paths:m=1",
+		"paths:m=0",
+		"paths:m=-4,family=star",
+		"paths:n=-1",
+		"static:topology=grid,m=0",
+		"static:topology=torus,m=0",
+		"static:topology=torus,m=4,k=0",
+		"static:topology=complete,n=-3",
+		"static:topology=cycle,m=0",
+		"static:topology=gnp,n=20,p=7",
+		"static:topology=gnp,n=20,p=-0.5",
+	} {
+		spec, err := model.Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", text, err)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("Build(%q) panicked: %v", text, p)
+				}
+			}()
+			if _, err := model.Build(spec, 1); err == nil {
+				t.Errorf("Build(%q) succeeded, want error", text)
+			}
+		}()
+	}
+}
+
 // TestFlagsToBuildRoundTrip exercises the full CLI path: a flag-style
 // string parses to a Spec, the Spec renders canonically, and both the
 // original and re-parsed specs build the same deterministic model.

@@ -28,8 +28,17 @@ func init() {
 			if n == 0 {
 				n = m * m
 			}
+			topo := a.String("topology")
+			switch {
+			case (topo == "grid" || topo == "torus") && (m < 1 || k < 1):
+				return nil, fmt.Errorf("%s needs m >= 1 and k >= 1, got m=%d k=%d", topo, m, k)
+			case n < 1:
+				return nil, fmt.Errorf("%s needs n >= 1 (or n=0 with m >= 1), got n=%d", topo, n)
+			case topo == "gnp" && !(a.Float("p") >= 0 && a.Float("p") <= 1):
+				return nil, fmt.Errorf("gnp needs 0 <= p <= 1, got p=%v", a.Float("p"))
+			}
 			var g *graph.Graph
-			switch topo := a.String("topology"); topo {
+			switch topo {
 			case "grid":
 				if k > 1 {
 					g = graph.KAugmentedGrid(m, m, k)

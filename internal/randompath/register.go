@@ -67,6 +67,9 @@ func init() {
 			{Name: "hop", Kind: model.Int, Default: "1", Help: "transmission hop radius in H"},
 		},
 		Build: func(a model.Args, r *rng.RNG) (dyngraph.Dynamic, error) {
+			if m := a.Int("m"); m < 2 {
+				return nil, fmt.Errorf("paths needs grid side m >= 2, got m=%d", m)
+			}
 			mod, err := cachedGridModel(a.String("family"), a.Int("m"))
 			if err != nil {
 				return nil, err
