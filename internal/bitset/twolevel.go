@@ -55,9 +55,6 @@ func (s *TwoLevel) Reset(n int) {
 	s.n = n
 }
 
-// Len returns the universe size n.
-func (s *TwoLevel) Len() int { return s.n }
-
 // Bytes returns the heap bytes retained by both levels.
 func (s *TwoLevel) Bytes() int64 {
 	return int64(cap(s.words))*8 + int64(cap(s.summary))*8
@@ -107,20 +104,6 @@ func (s *TwoLevel) Any() bool {
 		}
 	}
 	return false
-}
-
-// ClearAll empties the set. Only active leaf words are cleared — the
-// summary knows where they are — so a sparse clear is O(active words),
-// not a memclr of the whole leaf level.
-func (s *TwoLevel) ClearAll() {
-	for si, sw := range s.summary {
-		base := si << 6
-		for sw != 0 {
-			s.words[base+bits.TrailingZeros64(sw)] = 0
-			sw &= sw - 1
-		}
-		s.summary[si] = 0
-	}
 }
 
 // AppendMembers appends the members of s to dst in ascending order,

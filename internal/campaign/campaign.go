@@ -230,9 +230,6 @@ func newCampaign(id string, sw study.Sweep, done map[study.Key]study.CellRecord,
 // ID returns the campaign's identifier.
 func (c *Campaign) ID() string { return c.id }
 
-// Sweep returns the campaign's sweep definition.
-func (c *Campaign) Sweep() study.Sweep { return c.sweep }
-
 // cellPayload renders grid cell i as a wire Cell.
 func (c *Campaign) cellPayload(i int) Cell {
 	k := c.keys[i]

@@ -30,7 +30,7 @@ func Theorem3Bound(tmix, pnm, eta float64, n int) float64 {
 	return tmix * t * t * ln * ln * ln
 }
 
-// Corollary4Bound evaluates the geometric random-trip bound
+// Corollary4Bound evaluates the Corollary 4 geometric random-trip bound
 //
 //	O( Tmix · (δ²·vol(R)/(λ·n·r^d) + δ⁶/λ²)² · log³ n )
 //

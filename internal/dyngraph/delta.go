@@ -98,9 +98,6 @@ func (a *Adjacency) Reset(n int) {
 	a.n = n
 }
 
-// N returns the universe size.
-func (a *Adjacency) N() int { return a.n }
-
 // Bytes returns the heap bytes retained by the store: the segment
 // headers plus both arena buffers. Unlike the per-node-slice store this
 // replaces, the accounting is O(1) — three capacities, no walk.

@@ -70,9 +70,6 @@ func (s *Static) AppendDeltas(born, died []Edge) (b, d []Edge) {
 	return born, died
 }
 
-// Graph returns the wrapped static graph.
-func (s *Static) Graph() *graph.Graph { return s.g }
-
 // Snapshot materializes the current snapshot of d as a static graph. It
 // costs O(n + m) and is used by observers and stationarity estimators.
 func Snapshot(d Dynamic) *graph.Graph {

@@ -39,8 +39,8 @@ type FourStateParams struct {
 
 // Validate checks rates are probabilities and rows remain stochastic.
 func (p FourStateParams) Validate() error {
-	if p.N < 2 {
-		return fmt.Errorf("edgemeg: need at least 2 nodes, got %d", p.N)
+	if err := checkNodes(p.N); err != nil {
+		return err
 	}
 	for _, r := range []struct {
 		name string

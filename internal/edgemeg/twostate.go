@@ -30,10 +30,22 @@ type Params struct {
 
 // Validate checks the parameters.
 func (p Params) Validate() error {
-	if p.N < 2 {
-		return fmt.Errorf("edgemeg: need at least 2 nodes, got %d", p.N)
+	if err := checkNodes(p.N); err != nil {
+		return err
 	}
 	return markov.TwoState{P: p.P, Q: p.Q}.Validate()
+}
+
+// checkNodes rejects node counts below 2 or beyond the int32 node ids of
+// dyngraph.Edge.
+func checkNodes(n int) error {
+	if n < 2 {
+		return fmt.Errorf("edgemeg: need at least 2 nodes, got %d", n)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("edgemeg: %d nodes exceed the int32 node ids", n)
+	}
+	return nil
 }
 
 // Chain returns the per-edge two-state chain.

@@ -116,9 +116,6 @@ func (c *CellList) Move(i int, p Point) {
 // Position returns the indexed position of point i.
 func (c *CellList) Position(i int) Point { return c.pts[i] }
 
-// RadiusSq returns the squared query radius.
-func (c *CellList) RadiusSq() float64 { return c.r * c.r }
-
 // cellOf maps a point (clamped into the rectangle) to its cell id.
 func (c *CellList) cellOf(p Point) int32 {
 	p = c.rect.Clamp(p)

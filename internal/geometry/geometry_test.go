@@ -29,9 +29,6 @@ func TestDist(t *testing.T) {
 	if Dist2(Point{0, 0}, Point{3, 4}) != 25 {
 		t.Fatal("Dist2 wrong")
 	}
-	if (Point{3, 4}).Norm() != 5 {
-		t.Fatal("Norm wrong")
-	}
 }
 
 func TestDistSymmetryProperty(t *testing.T) {
@@ -95,7 +92,7 @@ func TestStepTowardNeverOvershootsProperty(t *testing.T) {
 
 func TestRect(t *testing.T) {
 	r := Square(10)
-	if r.W() != 10 || r.H() != 10 || r.Area() != 100 {
+	if r.W() != 10 || r.H() != 10 {
 		t.Fatal("Square dims wrong")
 	}
 	if !r.Contains(Point{5, 5}) || r.Contains(Point{11, 5}) {
@@ -206,45 +203,6 @@ func TestCellListPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestGridMapRoundTrip(t *testing.T) {
-	g := NewGridMap(Square(10), 5)
-	if g.Points() != 25 || g.M() != 5 {
-		t.Fatal("size wrong")
-	}
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			idx := g.Index(i, j)
-			gi, gj := g.Coords(idx)
-			if gi != i || gj != j {
-				t.Fatalf("round trip (%d,%d) -> %d -> (%d,%d)", i, j, idx, gi, gj)
-			}
-			// Nearest of an exact lattice point is itself.
-			ni, nj := g.Nearest(g.PointAt(i, j))
-			if ni != i || nj != j {
-				t.Fatalf("Nearest(%d,%d) = (%d,%d)", i, j, ni, nj)
-			}
-		}
-	}
-}
-
-func TestGridMapSpacing(t *testing.T) {
-	g := NewGridMap(Square(10), 5)
-	if g.Spacing() != 2.5 {
-		t.Fatalf("spacing = %v", g.Spacing())
-	}
-	if g.PointAt(4, 4) != (Point{10, 10}) {
-		t.Fatalf("corner = %v", g.PointAt(4, 4))
-	}
-}
-
-func TestGridMapNearestClamps(t *testing.T) {
-	g := NewGridMap(Square(10), 3)
-	i, j := g.Nearest(Point{-5, 100})
-	if i != 0 || j != 2 {
-		t.Fatalf("Nearest out-of-rect = (%d,%d)", i, j)
 	}
 }
 

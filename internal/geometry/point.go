@@ -19,9 +19,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q.
 func Dist(p, q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
@@ -62,9 +59,6 @@ func (r Rect) W() float64 { return r.X1 - r.X0 }
 
 // H returns the rectangle's height.
 func (r Rect) H() float64 { return r.Y1 - r.Y0 }
-
-// Area returns the rectangle's area.
-func (r Rect) Area() float64 { return r.W() * r.H() }
 
 // Contains reports whether p lies in the closed rectangle.
 func (r Rect) Contains(p Point) bool {

@@ -99,12 +99,6 @@ func (b *Builder) AddEdge(u, v int) {
 	b.edges[b.key(u, v)] = struct{}{}
 }
 
-// HasEdge reports whether the builder already contains {u, v}.
-func (b *Builder) HasEdge(u, v int) bool {
-	_, ok := b.edges[b.key(u, v)]
-	return ok
-}
-
 // Build finalizes the builder into an immutable Graph.
 func (b *Builder) Build() *Graph {
 	g := &Graph{n: b.n, adj: make([][]int32, b.n), m: len(b.edges)}

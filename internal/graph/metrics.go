@@ -50,14 +50,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// AverageDegree returns 2m/n.
-func (g *Graph) AverageDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return 2 * float64(g.m) / float64(g.n)
-}
-
 // EdgeDensity returns m / (n choose 2), the probability that a uniformly
 // random pair is an edge.
 func (g *Graph) EdgeDensity() float64 {

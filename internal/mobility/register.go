@@ -9,6 +9,15 @@ import (
 	"repro/internal/rng"
 )
 
+// warmup reads the warmup parameter: a step count, so never negative.
+func warmup(a model.Args) (int, error) {
+	n := a.Int("warmup")
+	if n < 0 {
+		return 0, fmt.Errorf("mobility: warmup must be >= 0, got %d", n)
+	}
+	return n, nil
+}
+
 // MixingChain implements model.ChainAnalyzer with the per-node movement
 // chain of the walk node-MEG.
 func (w *Walk) MixingChain() (*markov.Sparse, []float64) { return w.chain, w.pi }
@@ -39,6 +48,10 @@ func init() {
 			if err := params.Validate(); err != nil {
 				return nil, err
 			}
+			warm, err := warmup(a)
+			if err != nil {
+				return nil, err
+			}
 			var init WaypointInit
 			switch text := a.String("init"); text {
 			case "steady":
@@ -49,7 +62,7 @@ func init() {
 				return nil, fmt.Errorf("mobility: unknown waypoint init %q (want steady or uniform)", text)
 			}
 			w := NewWaypoint(params, init, r)
-			w.WarmUp(a.Int("warmup"))
+			w.WarmUp(warm)
 			return w, nil
 		},
 	})
@@ -91,8 +104,12 @@ func init() {
 			if err := params.Validate(); err != nil {
 				return nil, err
 			}
+			warm, err := warmup(a)
+			if err != nil {
+				return nil, err
+			}
 			d := NewDirection(params, r)
-			d.WarmUp(a.Int("warmup"))
+			d.WarmUp(warm)
 			return d, nil
 		},
 	})

@@ -136,20 +136,6 @@ func ballWalkChain(g *graph.Graph, rho int) *markov.Sparse {
 	return b.MustBuild()
 }
 
-// Params returns the model parameters.
-func (w *Walk) Params() WalkParams { return w.params }
-
-// Grid returns the underlying mobility graph.
-func (w *Walk) Grid() *graph.Graph { return w.grid }
-
-// Chain returns the per-node movement chain.
-func (w *Walk) Chain() *markov.Sparse { return w.chain }
-
-// Stationary returns the walk's stationary positional distribution (exact
-// degree-proportional law for one-hop walks, power-iteration estimate for
-// Rho > 1).
-func (w *Walk) Stationary() []float64 { return w.pi }
-
 // PositionOf returns node i's current grid point as (row, col).
 func (w *Walk) PositionOf(i int) (row, col int) {
 	s := w.State(i)

@@ -108,6 +108,10 @@ func TestBuildRejectsDegenerateParams(t *testing.T) {
 		"static:topology=cycle,m=0",
 		"static:topology=gnp,n=20,p=7",
 		"static:topology=gnp,n=20,p=-0.5",
+		"waypoint:n=10,warmup=-1",
+		"direction:n=10,warmup=-1",
+		"edgemeg:n=3000000000,init=empty",
+		"edgemeg4:n=3000000000",
 	} {
 		spec, err := model.Parse(text)
 		if err != nil {

@@ -17,9 +17,7 @@ func New(name string) Spec { return spec.New(name) }
 // Parse reads a spec from its CLI form "name" or "name:key=value,...".
 func Parse(text string) (Spec, error) { return spec.Parse(text) }
 
-// Kind is the type of a model parameter.
-type Kind = spec.Kind
-
+// The parameter kinds a Param declares.
 const (
 	Int    = spec.Int
 	Float  = spec.Float

@@ -77,9 +77,6 @@ func Register(def Definition) {
 	registry.Register(def)
 }
 
-// Lookup returns the definition registered under name.
-func Lookup(name string) (Definition, bool) { return registry.Lookup(name) }
-
 // Names returns the registered protocol names, sorted.
 func Names() []string { return registry.Names() }
 

@@ -93,12 +93,6 @@ func New(h *graph.Graph, paths []Path) (*Model, error) {
 	return m, nil
 }
 
-// H returns the mobility graph.
-func (m *Model) H() *graph.Graph { return m.h }
-
-// Paths returns the path family (shared storage; do not modify).
-func (m *Model) Paths() []Path { return m.paths }
-
 // NumStates returns |S| of the node-MEG realization.
 func (m *Model) NumStates() int { return m.nstates }
 

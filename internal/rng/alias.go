@@ -75,9 +75,6 @@ func NewAlias(w []float64) *Alias {
 	return a
 }
 
-// N returns the number of outcomes.
-func (a *Alias) N() int { return len(a.prob) }
-
 // Sample draws one outcome index using r.
 func (a *Alias) Sample(r *RNG) int {
 	// One uniform drives both the column choice and the coin flip.

@@ -106,11 +106,6 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	}
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	if p <= 0 {

@@ -71,19 +71,6 @@ func (h *Hist) Density() []float64 {
 	return d
 }
 
-// Probabilities returns the in-range bin probabilities (summing to the
-// in-range fraction of observations).
-func (h *Hist) Probabilities() []float64 {
-	p := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return p
-	}
-	for i, c := range h.Counts {
-		p[i] = float64(c) / float64(h.total)
-	}
-	return p
-}
-
 // Mode returns the center of the most populated bin.
 func (h *Hist) Mode() float64 {
 	best := 0
@@ -162,17 +149,6 @@ func (h *Hist2D) Density() []float64 {
 		d[i] = float64(c) / (float64(h.total) * area)
 	}
 	return d
-}
-
-// MaxDensity returns the maximum cell density.
-func (h *Hist2D) MaxDensity() float64 {
-	max := 0.0
-	for _, d := range h.Density() {
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // CellCenter returns the center coordinates of cell (i, j).
