@@ -321,10 +321,11 @@ func mobilityMicros(cfg Config) []micro {
 			name:            "flood/waypoint-64k/delta",
 			modeIndependent: true,
 			run: func(b *testing.B) {
-				// A fixed 128-step flooding window per op over the evolving
-				// positions — completion at degree ≈ π depends on mobility
-				// mixing and would make the row completion-scoped, so the
-				// window measures per-step engine + model work instead.
+				// One flood from node 0 per op over the evolving positions,
+				// run to completion: floods of this model complete in
+				// 55–99 steps, so the MaxSteps: 128 guard rarely binds and
+				// the row times whole floods, per-step engine + model work
+				// across every frontier size.
 				d := model.MustBuild(waypoint64K, cfg.Seed+1)
 				opts := flood.Opts{MaxSteps: 128, Scratch: flood.NewScratch()}
 				flood.Run(d, 0, opts)

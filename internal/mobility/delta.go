@@ -1,6 +1,8 @@
 package mobility
 
 import (
+	"slices"
+
 	"repro/internal/dyngraph"
 	"repro/internal/geometry"
 )
@@ -19,24 +21,37 @@ import (
 //     neighbor j (old distance ≤ R) whose new distance exceeds R is a died
 //     edge;
 //  3. the moves are applied — pos, prev, and the cell list's incremental
-//     Move — touching O(moved) index state;
+//     Move, in ascending id order, which fixes every cell's member order —
+//     touching O(moved) index state;
 //  4. pass B, against the updated cell list: for every moved i, each new
 //     neighbor j (new distance ≤ R) whose old distance exceeded R is a
 //     born edge.
 //
-// Pairs where both endpoints moved are seen from both sides; the ascending
-// scan dedupes them by skipping the candidate j when movedF[j] && j < i
-// (the pair was classified at the smaller index). Born requires an old
-// distance > R and died an old distance ≤ R, so the batches are disjoint,
-// and both passes run entirely before/after the apply step, so each pass
-// sees one consistent configuration. All buffers persist across steps:
-// warm steps allocate nothing.
+// Each pass runs its radius queries in row-major order of the query
+// cells, counting-sorted per pass, so consecutive queries read adjacent
+// cell-list segments. A query carries the node's old and new position, and
+// the cell list reports each candidate with its stored position, which is
+// the candidate's position on both sides of the step unless it moved too;
+// only moved candidates are looked up by id (next in pass A, prev in pass
+// B). The cell order permutes the born and died batches within themselves,
+// which the DeltaBatcher contract leaves unspecified; the trajectory and
+// the cell list do not depend on it.
+//
+// Pairs where both endpoints moved are seen from both sides; the passes
+// dedupe them by skipping the candidate j when movedF[j] && j < i (the
+// pair is classified from the smaller index, whatever the query order).
+// Born requires an old distance > R and died an old distance ≤ R, so the
+// batches are disjoint, and both passes run entirely before/after the
+// apply step, so each pass sees one consistent configuration. All buffers
+// persist across steps: warm steps allocate nothing.
 type geomDelta struct {
-	next   []geometry.Point // staged post-step positions, all nodes
-	prev   []geometry.Point // pre-step positions, valid where movedF
-	moved  []int32          // nodes whose position changed this step, ascending
-	movedF []bool           // membership flags for moved
-	nbrs   []int32          // cell-query scratch
+	next   []geometry.Point  // staged post-step positions, all nodes
+	prev   []geometry.Point  // pre-step positions, all nodes
+	movedF []bool            // whether each node moved this step
+	moves  []move            // this step's moves, in the current pass's cell order
+	cell   []int32           // sortMoves scratch: each mover's query cell
+	counts []int32           // sortMoves scratch: bucket offsets
+	near   []geometry.Member // cell-query scratch
 	born   []dyngraph.Edge
 	died   []dyngraph.Edge
 	// stepped gates AppendDeltas: before the first Step the batches are
@@ -44,14 +59,26 @@ type geomDelta struct {
 	stepped bool
 }
 
+// move is one moved node's radius query: the position it is queried at,
+// that position's cell, and the node's position on the other side of the
+// step.
+type move struct {
+	at, other geometry.Point
+	cell, i   int32
+}
+
 // stage sizes the buffers for n nodes and returns the next-position buffer
 // the model's step loop writes into. Nodes that do not move must be staged
-// at their current position.
+// at their current position. The move list is sized for every node at
+// once, rather than grown to the step's mover count, so the steps of a
+// flood leave no outgrown buffers behind for the collector.
 func (g *geomDelta) stage(n int) []geometry.Point {
 	if cap(g.next) < n {
 		g.next = make([]geometry.Point, n)
 		g.prev = make([]geometry.Point, n)
 		g.movedF = make([]bool, n)
+		g.moves = make([]move, 0, n)
+		g.cell = make([]int32, n)
 	}
 	return g.next[:n]
 }
@@ -63,54 +90,86 @@ func (g *geomDelta) commit(pos []geometry.Point, cells *geometry.CellList, r2 fl
 	next := g.next[:len(pos)]
 	prev := g.prev[:len(pos)]
 	movedF := g.movedF[:len(pos)]
-	g.moved = g.moved[:0]
-	g.born, g.died = g.born[:0], g.died[:0]
 	for i, p := range pos {
-		if next[i] != p {
-			movedF[i] = true
-			g.moved = append(g.moved, int32(i))
-		}
+		movedF[i] = next[i] != p
+		prev[i] = p
 	}
 	// Pass A (died): old neighbors of each moved node, old configuration.
-	for _, i := range g.moved {
-		g.nbrs = cells.AppendWithin(int(i), g.nbrs[:0])
-		for _, j := range g.nbrs {
-			if movedF[j] && j < i {
-				continue
-			}
-			if geometry.Dist2(next[i], next[j]) > r2 {
-				g.died = append(g.died, orderEdge(i, j))
-			}
+	g.died = g.scan(cells, prev, next, r2, g.died[:0])
+	// Apply: positions and incremental cell maintenance, in ascending id
+	// order, O(moved) index work.
+	for i, moved := range movedF {
+		if moved {
+			pos[i] = next[i]
+			cells.Move(i, next[i])
 		}
-	}
-	// Apply: positions and incremental cell maintenance, O(moved).
-	for _, i := range g.moved {
-		prev[i] = pos[i]
-		pos[i] = next[i]
-		cells.Move(int(i), next[i])
 	}
 	// Pass B (born): new neighbors of each moved node, new configuration.
-	// For an unmoved candidate j the old position is pos[j] (unchanged);
-	// for a moved one it is prev[j].
-	for _, i := range g.moved {
-		g.nbrs = cells.AppendWithin(int(i), g.nbrs[:0])
-		for _, j := range g.nbrs {
-			if movedF[j] && j < i {
-				continue
+	g.born = g.scan(cells, next, prev, r2, g.born[:0])
+	for _, mv := range g.moves {
+		movedF[mv.i] = false
+	}
+	g.stepped = true
+}
+
+// scan runs one pass against the cell list's current configuration, whose
+// positions are at: for every moved node i, each candidate j within R of
+// at[i] is appended to out as {i, j} if other[i] and other[j], the two
+// positions on the other side of the step, are more than R apart. An
+// unmoved candidate's other-side position is its stored one.
+func (g *geomDelta) scan(cells *geometry.CellList, at, other []geometry.Point, r2 float64, out []dyngraph.Edge) []dyngraph.Edge {
+	movedF := g.movedF[:len(at)]
+	for _, mv := range g.sortMoves(cells, at, other) {
+		g.near = cells.AppendNear(mv.at, mv.cell, mv.i, g.near[:0])
+		for _, c := range g.near {
+			otherJ := c.P
+			if movedF[c.ID] {
+				if c.ID < mv.i {
+					continue
+				}
+				otherJ = other[c.ID]
 			}
-			oldJ := pos[j]
-			if movedF[j] {
-				oldJ = prev[j]
-			}
-			if geometry.Dist2(prev[i], oldJ) > r2 {
-				g.born = append(g.born, orderEdge(i, j))
+			if geometry.Dist2(mv.other, otherJ) > r2 {
+				out = append(out, orderEdge(mv.i, c.ID))
 			}
 		}
 	}
-	for _, i := range g.moved {
-		movedF[i] = false
+	return out
+}
+
+// sortMoves lists the step's moved nodes (movedF) into g.moves as
+// {at[i], other[i], CellOf(at[i]), i}, counting-sorted into row-major
+// order of that cell; the sort is stable, so moves sharing a cell stay in
+// id order. A grid with more cells than nodes is bucketed by runs of
+// 2^shift consecutive cells, which keeps the sort O(n) per step.
+func (g *geomDelta) sortMoves(cells *geometry.CellList, at, other []geometry.Point) []move {
+	movedF := g.movedF[:len(at)]
+	shift := 0
+	for cells.NumCells()>>shift > max(len(at), 1) {
+		shift++
 	}
-	g.stepped = true
+	buckets := (cells.NumCells()-1)>>shift + 1
+	g.counts = slices.Grow(g.counts[:0], buckets+1)[:buckets+1]
+	clear(g.counts)
+	for i, moved := range movedF {
+		if moved {
+			g.cell[i] = cells.CellOf(at[i])
+			g.counts[g.cell[i]>>shift+1]++
+		}
+	}
+	for b := 1; b <= buckets; b++ {
+		g.counts[b] += g.counts[b-1]
+	}
+	m := int(g.counts[buckets])
+	g.moves = g.moves[:m]
+	for i, moved := range movedF {
+		if moved {
+			k := g.cell[i] >> shift
+			g.moves[g.counts[k]] = move{at: at[i], other: other[i], cell: g.cell[i], i: int32(i)}
+			g.counts[k]++
+		}
+	}
+	return g.moves
 }
 
 // appendDeltas serves the retained batches; idempotent between steps.
@@ -123,7 +182,7 @@ func (g *geomDelta) appendDeltas(born, died []dyngraph.Edge) (b, d []dyngraph.Ed
 
 // movedLastStep reports how many nodes changed position in the most recent
 // step (0 before the first step).
-func (g *geomDelta) movedLastStep() int { return len(g.moved) }
+func (g *geomDelta) movedLastStep() int { return len(g.moves) }
 
 func orderEdge(i, j int32) dyngraph.Edge {
 	if i < j {

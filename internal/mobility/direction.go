@@ -21,18 +21,19 @@ type DirectionParams struct {
 	Turn  float64 // per-step probability of redrawing the heading
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters: finite positive lengths and speed, a
+// probability Turn, and a cell grid within geometry.MaxCells.
 func (p DirectionParams) Validate() error {
 	if p.N < 1 {
 		return fmt.Errorf("mobility: need N >= 1, got %d", p.N)
 	}
-	if p.L <= 0 || p.R <= 0 || p.Speed <= 0 {
-		return fmt.Errorf("mobility: need positive L, R, Speed")
+	if !positive(p.L) || !positive(p.R) || !positive(p.Speed) {
+		return fmt.Errorf("mobility: need finite positive L, R, Speed, got %v, %v, %v", p.L, p.R, p.Speed)
 	}
-	if p.Turn < 0 || p.Turn > 1 {
+	if !(p.Turn >= 0 && p.Turn <= 1) {
 		return fmt.Errorf("mobility: need 0 <= Turn <= 1, got %v", p.Turn)
 	}
-	return nil
+	return checkGrid(p.L, p.R)
 }
 
 // Direction simulates the random-direction model; it implements

@@ -35,22 +35,35 @@ type WaypointParams struct {
 }
 
 // Validate checks the parameters. The paper assumes VMax = Θ(VMin); we only
-// require 0 < VMin <= VMax.
+// require 0 < VMin <= VMax. Every length and speed must be finite, and the
+// radius-R cell grid over the square must fit geometry.MaxCells.
 func (p WaypointParams) Validate() error {
 	if p.N < 1 {
 		return fmt.Errorf("mobility: need N >= 1, got %d", p.N)
 	}
-	if p.L <= 0 {
-		return fmt.Errorf("mobility: need L > 0, got %v", p.L)
+	if !positive(p.L) {
+		return fmt.Errorf("mobility: need finite L > 0, got %v", p.L)
 	}
-	if p.R <= 0 {
-		return fmt.Errorf("mobility: need R > 0, got %v", p.R)
+	if !positive(p.R) {
+		return fmt.Errorf("mobility: need finite R > 0, got %v", p.R)
 	}
-	if p.VMin <= 0 || p.VMax < p.VMin {
-		return fmt.Errorf("mobility: need 0 < VMin <= VMax, got [%v, %v]", p.VMin, p.VMax)
+	if !positive(p.VMin) || !positive(p.VMax) || p.VMax < p.VMin {
+		return fmt.Errorf("mobility: need finite 0 < VMin <= VMax, got [%v, %v]", p.VMin, p.VMax)
 	}
 	if p.Pause < 0 {
 		return fmt.Errorf("mobility: need Pause >= 0, got %d", p.Pause)
+	}
+	return checkGrid(p.L, p.R)
+}
+
+// positive reports whether x is finite and > 0 (false for NaN).
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// checkGrid rejects an L×L square whose radius-R cell grid has more cells
+// than a geometry.CellList can index.
+func checkGrid(L, R float64) error {
+	if cells := geometry.GridCells(geometry.Square(L), R); cells > geometry.MaxCells {
+		return fmt.Errorf("mobility: L/R = %v gives a %g-cell grid, more than %d", L/R, cells, geometry.MaxCells)
 	}
 	return nil
 }

@@ -112,6 +112,25 @@ func TestBuildRejectsDegenerateParams(t *testing.T) {
 		"direction:n=10,warmup=-1",
 		"edgemeg:n=3000000000,init=empty",
 		"edgemeg4:n=3000000000",
+		// Non-finite lengths and speeds: L=NaN and L=Inf used to hang in
+		// the steady-state trip sampler; the others built models that
+		// never connect.
+		"waypoint:n=10,L=NaN",
+		"waypoint:n=10,L=Inf",
+		"waypoint:n=10,r=NaN",
+		"waypoint:n=10,r=Inf",
+		"waypoint:n=10,vmin=NaN",
+		"waypoint:n=10,vmin=Inf",
+		"waypoint:n=10,vmax=NaN",
+		"direction:n=10,L=NaN",
+		"direction:n=10,L=Inf",
+		"direction:n=10,r=NaN",
+		"direction:n=10,speed=NaN",
+		"direction:n=10,speed=Inf",
+		"direction:n=10,turn=NaN",
+		// Cell grids past int32 cell ids.
+		"waypoint:n=10,L=1e10,r=1",
+		"direction:n=10,L=1e10,r=1",
 	} {
 		spec, err := model.Parse(text)
 		if err != nil {

@@ -98,7 +98,6 @@ var reachAllowlist = map[string]reachReason{
 
 	"geometry.CellList.CountWithin": {test: "TestCellListRebuild"},
 	"geometry.CellList.Len":         {test: "TestCellListRebuild"},
-	"geometry.CellList.Position":    {test: "TestCellListMoveMatchesRebuild"},
 	"geometry.Point.Add":            {own: "TestPointArithmetic"},
 	"geometry.Point.Scale":          {own: "TestPointArithmetic"},
 	"geometry.Point.Sub":            {own: "TestPointArithmetic"},
